@@ -161,9 +161,9 @@ fn bench_async_component_skew(c: &mut Criterion) {
 
 /// Sharded execution on the headline workload: the partition, ghost-port,
 /// and cut-exchange machinery at 1/2/4 shards against the serial and
-/// barrier baselines. On a 1-CPU host this tracks the exchange overhead
-/// (shards pay one boundary swap per round); on multi-core it tracks the
-/// scaling. Outputs are asserted identical inside each iteration.
+/// barrier baselines: shards pay one boundary swap per round, so this
+/// tracks the exchange overhead against whatever the extra threads buy on
+/// the host's cores. Outputs are asserted identical inside each iteration.
 fn bench_sharded_cut_exchange(c: &mut Criterion) {
     let g = large_graph();
     let net = Network::new(&g, IdAssignment::Shuffled(13));

@@ -2,11 +2,10 @@
 //!
 //! Usage: `experiments [all | <id> ...]`; with no arguments, lists the ids.
 //!
-//! The ambient engine comes from the environment (`DECO_ENGINE_*`,
-//! `DECO_SHARD_TRANSPORT`) via [`Runtime::from_env`]; a malformed variable
-//! is reported to stderr — naming the variable and the offending value —
-//! and the harness exits instead of silently running on an engine nobody
-//! pinned.
+//! The ambient engine comes from the environment (`DECO_ENGINE_*`) via
+//! [`Runtime::from_env`]; a malformed variable is reported to stderr —
+//! naming the variable and the offending value — and the harness exits
+//! instead of silently running on an engine nobody pinned.
 
 use deco_bench::experiments;
 use deco_runtime::Runtime;

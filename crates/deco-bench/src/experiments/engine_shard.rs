@@ -1,22 +1,16 @@
 //! `engine-shard` — the sharded engine across the scenario families:
-//! partition quality (cut-edge fraction per family and shard count),
-//! exchange volume (bytes crossing shard boundaries per round, measured on
-//! the framed coordinator), and the four-way differential guarantee
-//! (serial ≡ barrier ≡ async ≡ sharded, observationally) re-checked inline
-//! so the numbers can never drift apart from a correctness bug silently.
+//! partition quality (cut-edge fraction per family and shard count) and
+//! the four-way differential guarantee (serial ≡ barrier ≡ async ≡
+//! sharded, observationally) re-checked inline so the numbers can never
+//! drift apart from a correctness bug silently.
 
 use crate::table::Table;
 use deco_engine::protocols::StaggeredSum;
-use deco_engine::shard::framed::{run_framed, ChannelTransport, ProtocolSpec};
-use deco_engine::shard::net::TcpTransport;
-#[cfg(unix)]
-use deco_engine::shard::net::UdsTransport;
 use deco_engine::{
     AsyncExecutor, Executor, GraphSpec, IdFlavor, ParallelExecutor, Scenario, SerialExecutor,
     ShardPlan, ShardedExecutor,
 };
 use deco_runtime::Runtime;
-use deco_trace::Counter;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -43,11 +37,9 @@ pub fn run(_rt: &Runtime) -> String {
     let mut out =
         String::from("# engine-shard — sharded execution with cross-shard mailbox exchange\n\n");
 
-    // Part 1: partition quality and exchange volume per family. The
-    // exchange-volume column is read back from the framed coordinator's
-    // trace emissions (shard-exchange-bytes counter); the run is
-    // serial-oracled inline.
-    out.push_str("## cut fraction and exchange volume (staggered-sum, channel transport)\n\n");
+    // Part 1: partition quality per family, read off the shard plan; every
+    // sharded run is serial-oracled inline.
+    out.push_str("## cut fraction (staggered-sum)\n\n");
     let mut t = Table::new([
         "family",
         "shards",
@@ -56,127 +48,44 @@ pub fn run(_rt: &Runtime) -> String {
         "cut edges",
         "cut %",
         "rounds",
-        "exch B/round",
-        "total B",
     ]);
     let mut worst_cut = 0.0f64;
-    let measure = deco_trace::measure();
     for spec in families() {
         let scenario = Scenario::new(spec, IdFlavor::Shuffled, 2026);
         let g = scenario.graph();
         let net = scenario.network(&g);
-        let ids = net.ids().to_vec();
-        let serial = SerialExecutor
-            .execute(&net, &StaggeredSum { spread: 7 }, 100)
-            .unwrap();
+        let protocol = StaggeredSum { spread: 7 };
+        let serial = SerialExecutor.execute(&net, &protocol, 100).unwrap();
         for shards in [2usize, 4] {
-            let scope = deco_trace::run_scope();
-            let run = run_framed(
-                &ChannelTransport,
-                &g,
-                &ids,
-                ProtocolSpec::StaggeredSum { spread: 7 },
-                shards,
-                1,
-                100,
-            )
-            .unwrap_or_else(|e| panic!("{}: {e}", scenario.name));
-            let metrics = scope.finish().expect("measure() installed a sink");
-            assert_eq!(serial.outputs, run.outcome.outputs, "{}", scenario.name);
-            assert_eq!(serial.rounds, run.outcome.rounds, "{}", scenario.name);
-            assert_eq!(serial.messages, run.outcome.messages, "{}", scenario.name);
-            let exchange_bytes = metrics
-                .counter(Counter::ShardExchangeBytes)
-                .expect("framed coordinator emits shard-exchange-bytes");
-            assert_eq!(
-                exchange_bytes, run.exchange_bytes,
-                "{}: traced exchange bytes must match the coordinator's count",
-                scenario.name
-            );
-            let per_round = if run.outcome.rounds == 0 {
-                0.0
-            } else {
-                exchange_bytes as f64 / run.outcome.rounds as f64
-            };
-            worst_cut = worst_cut.max(run.cut_fraction);
+            let plan = ShardPlan::new(&g, shards);
+            let run = ShardedExecutor::new(shards)
+                .execute(&net, &protocol, 100)
+                .unwrap_or_else(|e| panic!("{}: {e}", scenario.name));
+            assert_eq!(serial.outputs, run.outputs, "{}", scenario.name);
+            assert_eq!(serial.rounds, run.rounds, "{}", scenario.name);
+            assert_eq!(serial.messages, run.messages, "{}", scenario.name);
+            worst_cut = worst_cut.max(plan.cut_fraction());
             t.row([
                 scenario.spec.label(),
-                format!("{}", run.shards),
+                plan.shards().to_string(),
                 g.num_nodes().to_string(),
                 g.num_edges().to_string(),
-                run.cut_edges.to_string(),
-                format!("{:.1}%", run.cut_fraction * 100.0),
-                run.outcome.rounds.to_string(),
-                format!("{per_round:.0}"),
-                run.total_bytes.to_string(),
+                plan.num_cut_edges().to_string(),
+                format!("{:.1}%", plan.cut_fraction() * 100.0),
+                run.rounds.to_string(),
             ]);
         }
     }
-    drop(measure);
     out.push_str(&t.render());
     let _ = writeln!(
         out,
         "\nEvery row is serial-oracled: outputs, rounds, and messages of the sharded\n\
          run are bit-identical to the serial runner. Only cut edges ever cross a\n\
-         shard boundary — the exchange volume column is the whole inter-shard\n\
-         traffic, everything else is shard-private. Worst cut fraction above:\n\
+         shard boundary; everything else is shard-private. Worst cut fraction above:\n\
          {:.1}% (degree-balanced contiguous ranges; structured families cut in\n\
          O(shards) edges, dense random families approach the (k-1)/k ceiling).\n",
         worst_cut * 100.0
     );
-
-    // Part 1b: the same framed workload over the socket transports
-    // (in-process worker threads over real sockets — the spawn modes need
-    // the `deco-shardd` binary, which the integration suites cover). The
-    // frames are transport-invariant, so byte accounting must agree with
-    // the channel runs exactly; wall-clock shows what the kernel socket
-    // path costs over an in-process channel.
-    out.push_str("## socket transports (regular(64,8), staggered-sum, shards=4)\n\n");
-    {
-        let scenario = Scenario::new(
-            GraphSpec::RandomRegular { n: 64, d: 8 },
-            IdFlavor::Shuffled,
-            2026,
-        );
-        let g = scenario.graph();
-        let net = scenario.network(&g);
-        let ids = net.ids().to_vec();
-        let spec = ProtocolSpec::StaggeredSum { spread: 7 };
-        let mut t = Table::new(["transport", "time", "exch B", "total B"]);
-        let mut baseline: Option<deco_engine::shard::framed::FramedRun> = None;
-        let mut leg = |label: &str, run: &dyn Fn() -> deco_engine::shard::framed::FramedRun| {
-            let (d, run) = time(run);
-            if let Some(base) = &baseline {
-                assert_eq!(base.outcome.outputs, run.outcome.outputs, "{label}");
-                assert_eq!(base.exchange_bytes, run.exchange_bytes, "{label}");
-                assert_eq!(base.total_bytes, run.total_bytes, "{label}");
-            }
-            t.row([
-                label.to_string(),
-                format!("{d:.1?}"),
-                run.exchange_bytes.to_string(),
-                run.total_bytes.to_string(),
-            ]);
-            baseline.get_or_insert(run);
-        };
-        leg("channel", &|| {
-            run_framed(&ChannelTransport, &g, &ids, spec, 4, 1, 100).unwrap()
-        });
-        leg("tcp", &|| {
-            run_framed(&TcpTransport::in_process(), &g, &ids, spec, 4, 1, 100).unwrap()
-        });
-        #[cfg(unix)]
-        leg("uds", &|| {
-            run_framed(&UdsTransport::in_process(), &g, &ids, spec, 4, 1, 100).unwrap()
-        });
-        out.push_str(&t.render());
-        out.push_str(
-            "\nSame frames on every pipe: the byte columns are asserted equal across\n\
-             transports before the table renders. `DECO_SHARD_TRANSPORT=tcp|uds`\n\
-             selects these pipes through the runtime facade; `DECO_SHARD_TIMEOUT_MS`\n\
-             bounds every per-frame wait (see the shard-faults suite).\n\n",
-        );
-    }
 
     // Part 2: the four-way differential on one representative family,
     // including the in-process typed executor at threads-per-shard > 1.
@@ -231,9 +140,6 @@ pub fn run(_rt: &Runtime) -> String {
     );
 
     // Part 3: wall-clock, serial vs barrier vs sharded, on a larger graph.
-    // On a 1-CPU container the sharded engine pays thread context switches
-    // plus the exchange; the point of this table is honest accounting, not
-    // a speedup claim — multi-core (and multi-host) is where shards win.
     out.push_str("## wall-clock (regular(4000,16), flood r=4)\n\n");
     let big = GraphSpec::RandomRegular { n: 4000, d: 16 }.build(3);
     let plan2 = ShardPlan::new(&big, 2);
@@ -274,11 +180,7 @@ pub fn run(_rt: &Runtime) -> String {
     out.push_str(&t.render());
     let _ = writeln!(
         out,
-        "\nCut fraction at 2 shards on this graph: {:.2}% ({} of {} edges). The\n\
-         in-process sharded engine exists to prove the partition + ghost-port +\n\
-         cut-exchange machinery under the full differential contract; the framed\n\
-         subprocess transport (`deco-shardd`) carries the same machinery across\n\
-         process boundaries — see `cargo test -p deco-engine --test sharded`.\n",
+        "\nCut fraction at 2 shards on this graph: {:.2}% ({} of {} edges).\n",
         plan2.cut_fraction() * 100.0,
         plan2.num_cut_edges(),
         big.num_edges(),
@@ -295,12 +197,11 @@ fn time<T>(f: impl FnOnce() -> T) -> (std::time::Duration, T) {
 #[cfg(test)]
 mod tests {
     #[test]
-    fn report_covers_cut_and_exchange() {
+    fn report_covers_cut_and_lineup() {
         let r = super::run(&deco_runtime::Runtime::serial());
-        assert!(r.contains("cut fraction and exchange volume"));
+        assert!(r.contains("cut fraction"));
+        assert!(r.contains("cut edges"));
         assert!(r.contains("four-way lineup"));
-        assert!(r.contains("exch B/round"));
-        assert!(r.contains("socket transports"));
-        assert!(r.contains("| tcp"));
+        assert!(r.contains("wall-clock"));
     }
 }

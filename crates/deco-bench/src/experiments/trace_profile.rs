@@ -84,8 +84,8 @@ pub fn run(_rt: &Runtime) -> String {
          `deliver`, `receive`; async and sharded runs attribute whole executions\n\
          to `execute` instead of global rounds) — compare within a level. `—`\n\
          marks phases an engine never enters: only the serial runner has a\n\
-         distinct `deliver` phase, only the async engine skips global rounds,\n\
-         only the framed coordinator has a `cut-exchange` phase.\n\n",
+         distinct `deliver` phase, and the async and sharded engines skip\n\
+         global rounds.\n\n",
     );
 
     out.push_str("## counters and samples\n\n");

@@ -147,16 +147,6 @@ pub enum SolveError {
         /// The configured limit.
         limit: u32,
     },
-    /// A framed shard worker failed under the coordinator's hardening
-    /// (timed out past the retry budget, disconnected, or sent a malformed
-    /// frame). Only framed multi-process runs can produce this; the typed
-    /// in-process engines have no shard to lose.
-    ShardFailed {
-        /// Zero-based index of the failed shard.
-        shard: usize,
-        /// What the coordinator observed.
-        cause: deco_engine::shard::framed::ShardFailure,
-    },
 }
 
 impl fmt::Display for SolveError {
@@ -165,23 +155,11 @@ impl fmt::Display for SolveError {
             SolveError::DepthExceeded { depth, limit } => {
                 write!(f, "recursion depth {depth} exceeds the limit {limit}")
             }
-            SolveError::ShardFailed { shard, cause } => {
-                write!(f, "shard {shard} failed: {cause}")
-            }
         }
     }
 }
 
 impl std::error::Error for SolveError {}
-
-impl From<deco_engine::shard::framed::ShardFailed> for SolveError {
-    fn from(e: deco_engine::shard::framed::ShardFailed) -> SolveError {
-        SolveError::ShardFailed {
-            shard: e.shard,
-            cause: e.cause,
-        }
-    }
-}
 
 /// One solved sub-recursion (a *branch*): the colors of its sub-instance,
 /// its cost subtree, and the [`SolveStats`] accumulated beneath it. Every

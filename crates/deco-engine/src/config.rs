@@ -1,6 +1,6 @@
 //! Structured engine configuration from the environment.
 //!
-//! CI pins its executor matrix through four environment variables, all
+//! CI pins its executor matrix through these environment variables, all
 //! parsed here and nowhere else:
 //!
 //! | variable | values | meaning |
@@ -8,8 +8,6 @@
 //! | `DECO_ENGINE_THREADS` | unset/empty/`0` = auto, else a thread count | worker threads (threads *per shard* when sharding) |
 //! | `DECO_ENGINE_ASYNC` | unset/empty/`0` = barrier, `1` = async | round substrate of the parallel engine |
 //! | `DECO_ENGINE_SHARDS` | unset/empty/`0` = unsharded, else a shard count | partition the network over that many shards |
-//! | `DECO_SHARD_TRANSPORT` | unset/empty/`threads`, `channel`, `process`, `tcp`, `uds` | which byte pipe the *framed* shard entry points use |
-//! | `DECO_SHARD_TIMEOUT_MS` | unset/empty = 5000, `0` = no deadline, else milliseconds | per-frame receive deadline of the framed coordinator |
 //! | `DECO_TRACE` | unset/empty/`0`/`off`, `ring`, `jsonl` | trace sink ([`deco_trace`]); `jsonl` writes to `DECO_TRACE_PATH` (default `trace.jsonl`) |
 //!
 //! Malformed values are **structured errors**, never silent fallbacks and
@@ -50,59 +48,12 @@ pub const ENV_THREADS: &str = "DECO_ENGINE_THREADS";
 pub const ENV_ASYNC: &str = "DECO_ENGINE_ASYNC";
 /// `DECO_ENGINE_SHARDS` — shard count (0 = unsharded).
 pub const ENV_SHARDS: &str = "DECO_ENGINE_SHARDS";
-/// `DECO_SHARD_TRANSPORT` — byte pipe of the framed shard layer.
-pub const ENV_TRANSPORT: &str = "DECO_SHARD_TRANSPORT";
-/// `DECO_SHARD_TIMEOUT_MS` — per-frame receive deadline of the framed
-/// coordinator, in milliseconds (empty = 5000, `0` = no deadline).
-pub const ENV_SHARD_TIMEOUT: &str = "DECO_SHARD_TIMEOUT_MS";
-/// Default per-frame deadline when `DECO_SHARD_TIMEOUT_MS` is unset.
-pub const DEFAULT_SHARD_TIMEOUT_MS: u64 = 5_000;
 /// `DECO_TRACE` — trace sink selection (`off` / `ring` / `jsonl`).
 pub const ENV_TRACE: &str = "DECO_TRACE";
 /// `DECO_TRACE_PATH` — JSONL output path (consumed by `deco-trace` at
 /// install time; re-exported here so the env-var surface is listed in one
 /// place).
 pub const ENV_TRACE_PATH: &str = deco_trace::ENV_TRACE_PATH;
-
-/// Which substrate carries cross-shard traffic. `Threads` is the typed
-/// in-process engine (shard workers are threads exchanging typed messages
-/// directly — the only substrate that can run *arbitrary* protocols, so
-/// [`crate::shard::ShardedExecutor::execute`] always uses it). The rest
-/// select the byte pipe that framed entry points
-/// ([`crate::shard::framed::run_framed`], which runs *named*
-/// [`crate::shard::framed::ProtocolSpec`] protocols) should speak:
-/// in-process `mpsc` workers, `deco-shardd` child processes over stdio, or
-/// `deco-shardd` workers dialing in over TCP / Unix-domain sockets — the
-/// multi-host shape. The choice is carried on the executor so descriptors,
-/// experiment reports, and the CI matrix all attribute runs to the right
-/// pipe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardTransportKind {
-    /// Typed in-process shard threads (no framed layer).
-    #[default]
-    Threads,
-    /// Framed workers as in-process threads over `mpsc` byte channels.
-    Channel,
-    /// Framed workers as `deco-shardd` child processes over stdio.
-    Process,
-    /// Framed workers dialing in over TCP (`deco-shardd --connect`).
-    Tcp,
-    /// Framed workers dialing in over Unix-domain sockets
-    /// (`deco-shardd --connect-uds`).
-    Uds,
-}
-
-impl std::fmt::Display for ShardTransportKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ShardTransportKind::Threads => "threads",
-            ShardTransportKind::Channel => "channel",
-            ShardTransportKind::Process => "process",
-            ShardTransportKind::Tcp => "tcp",
-            ShardTransportKind::Uds => "uds",
-        })
-    }
-}
 
 /// A malformed engine environment variable: which variable, what it held,
 /// and what it accepts.
@@ -182,47 +133,6 @@ pub fn parse_shards(raw: &str) -> Result<usize, EngineEnvError> {
     })
 }
 
-/// Parses a `DECO_SHARD_TRANSPORT` value: empty or `threads` = the typed
-/// in-process substrate, `channel` / `process` / `tcp` / `uds` = the
-/// framed byte pipes.
-///
-/// # Errors
-///
-/// [`EngineEnvError`] on anything else.
-pub fn parse_transport(raw: &str) -> Result<ShardTransportKind, EngineEnvError> {
-    match raw.trim() {
-        "" | "threads" => Ok(ShardTransportKind::Threads),
-        "channel" => Ok(ShardTransportKind::Channel),
-        "process" => Ok(ShardTransportKind::Process),
-        "tcp" => Ok(ShardTransportKind::Tcp),
-        "uds" => Ok(ShardTransportKind::Uds),
-        other => Err(EngineEnvError {
-            var: ENV_TRANSPORT,
-            value: other.to_string(),
-            expected: "threads, channel, process, tcp, or uds (empty = threads)",
-        }),
-    }
-}
-
-/// Parses a `DECO_SHARD_TIMEOUT_MS` value: `None` when empty (callers fall
-/// back to [`DEFAULT_SHARD_TIMEOUT_MS`]), `Some(0)` = no deadline, else
-/// the per-frame deadline in milliseconds.
-///
-/// # Errors
-///
-/// [`EngineEnvError`] when the value is not a non-negative integer.
-pub fn parse_timeout_ms(raw: &str) -> Result<Option<u64>, EngineEnvError> {
-    let raw = raw.trim();
-    if raw.is_empty() {
-        return Ok(None);
-    }
-    raw.parse().map(Some).map_err(|_| EngineEnvError {
-        var: ENV_SHARD_TIMEOUT,
-        value: raw.to_string(),
-        expected: "a per-frame deadline in milliseconds (0 = no deadline, empty = 5000)",
-    })
-}
-
 /// Parses a `DECO_TRACE` value: empty, `0`, or `off` = tracing disabled,
 /// `ring` = in-memory ring sink, `jsonl` = JSONL file sink.
 ///
@@ -259,8 +169,6 @@ pub struct EngineConfig {
     pub mode: EngineMode,
     /// Shard count (0 = unsharded).
     pub shards: usize,
-    /// Cross-shard transport preference (ignored when unsharded).
-    pub transport: ShardTransportKind,
 }
 
 impl EngineConfig {
@@ -275,7 +183,6 @@ impl EngineConfig {
             threads: parse_threads(&env_raw(ENV_THREADS))?,
             mode: parse_mode(&env_raw(ENV_ASYNC))?,
             shards: parse_shards(&env_raw(ENV_SHARDS))?,
-            transport: parse_transport(&env_raw(ENV_TRANSPORT))?,
         })
     }
 
@@ -284,9 +191,7 @@ impl EngineConfig {
     pub fn selection(&self) -> EngineSelection {
         if self.shards > 0 {
             EngineSelection::Sharded(
-                ShardedExecutor::new(self.shards)
-                    .with_threads_per_shard(self.threads.max(1))
-                    .with_transport(self.transport),
+                ShardedExecutor::new(self.shards).with_threads_per_shard(self.threads.max(1)),
             )
         } else {
             let exec = if self.threads == 0 {
@@ -326,8 +231,8 @@ impl EngineSelection {
 ///
 /// * `barrier(threads=2)` / `async(threads=auto)` — the parallel engine,
 ///   named by its round substrate (`threads=auto` is the hardware default);
-/// * `sharded(shards=4,threads=2,transport=process)` — the sharded engine
-///   with its threads-per-shard and cross-shard transport.
+/// * `sharded(shards=4,threads=2)` — the sharded engine with its
+///   threads-per-shard.
 ///
 /// The format is an API: tooling that attributes measurements to engines
 /// keys on these strings, and the round-trip test pins them.
@@ -343,10 +248,9 @@ impl std::fmt::Display for EngineSelection {
             }
             EngineSelection::Sharded(e) => write!(
                 f,
-                "sharded(shards={},threads={},transport={})",
+                "sharded(shards={},threads={})",
                 e.shards(),
-                e.threads_per_shard(),
-                e.transport()
+                e.threads_per_shard()
             ),
         }
     }
@@ -377,7 +281,7 @@ impl std::fmt::Display for DescriptorParseError {
         write!(
             f,
             "unrecognized engine descriptor {:?} (expected barrier(threads=N), \
-             async(threads=N), or sharded(shards=N,threads=N,transport=T))",
+             async(threads=N), or sharded(shards=N,threads=N))",
             self.descriptor
         )
     }
@@ -432,16 +336,11 @@ impl std::str::FromStr for EngineSelection {
             };
             return Ok(EngineSelection::Parallel(exec.with_mode(mode)));
         }
-        if let Some(("sharded", [shards, threads, transport])) =
-            parse_fields(s, ["shards", "threads", "transport"])
-        {
+        if let Some(("sharded", [shards, threads])) = parse_fields(s, ["shards", "threads"]) {
             let shards: usize = shards.parse().ok().filter(|&n| n > 0).ok_or_else(err)?;
             let threads: usize = threads.parse().ok().filter(|&t| t > 0).ok_or_else(err)?;
-            let transport = parse_transport(transport).map_err(|_| err())?;
             return Ok(EngineSelection::Sharded(
-                ShardedExecutor::new(shards)
-                    .with_threads_per_shard(threads)
-                    .with_transport(transport),
+                ShardedExecutor::new(shards).with_threads_per_shard(threads),
             ));
         }
         Err(err())
@@ -527,13 +426,11 @@ mod tests {
             threads: 2,
             mode: EngineMode::Barrier,
             shards: 3,
-            transport: ShardTransportKind::Process,
         };
         match cfg.selection() {
             EngineSelection::Sharded(e) => {
                 assert_eq!(e.shards(), 3);
                 assert_eq!(e.threads_per_shard(), 2);
-                assert_eq!(e.transport(), ShardTransportKind::Process);
             }
             other => panic!("expected sharded, got {other:?}"),
         }
@@ -541,48 +438,10 @@ mod tests {
             threads: 0,
             mode: EngineMode::Async,
             shards: 0,
-            transport: ShardTransportKind::Threads,
         };
         match cfg.selection() {
             EngineSelection::Parallel(e) => assert_eq!(e.mode(), EngineMode::Async),
             other => panic!("expected parallel, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn transport_parsing_is_strict() {
-        assert_eq!(parse_transport("").unwrap(), ShardTransportKind::Threads);
-        assert_eq!(
-            parse_transport("threads").unwrap(),
-            ShardTransportKind::Threads
-        );
-        assert_eq!(
-            parse_transport(" channel ").unwrap(),
-            ShardTransportKind::Channel
-        );
-        assert_eq!(
-            parse_transport("process").unwrap(),
-            ShardTransportKind::Process
-        );
-        assert_eq!(parse_transport("tcp").unwrap(), ShardTransportKind::Tcp);
-        assert_eq!(parse_transport(" uds ").unwrap(), ShardTransportKind::Uds);
-        let err = parse_transport("smoke-signals").unwrap_err();
-        assert_eq!(err.var, ENV_TRANSPORT);
-        assert_eq!(err.value, "smoke-signals");
-        assert!(err.expected.contains("tcp"));
-    }
-
-    #[test]
-    fn timeout_parsing_is_strict() {
-        assert_eq!(parse_timeout_ms("").unwrap(), None);
-        assert_eq!(parse_timeout_ms(" \n").unwrap(), None);
-        assert_eq!(parse_timeout_ms("0").unwrap(), Some(0));
-        assert_eq!(parse_timeout_ms(" 250 ").unwrap(), Some(250));
-        for bad in ["soon", "-5", "1.5", "100ms"] {
-            let err = parse_timeout_ms(bad).unwrap_err();
-            assert_eq!(err.var, ENV_SHARD_TIMEOUT, "{bad}");
-            assert_eq!(err.value, bad.trim(), "{bad}");
-            assert!(err.to_string().contains("DECO_SHARD_TIMEOUT_MS"), "{bad}");
         }
     }
 
@@ -639,13 +498,8 @@ mod tests {
             "async(threads=2)"
         );
         assert_eq!(
-            EngineSelection::Sharded(
-                ShardedExecutor::new(4)
-                    .with_threads_per_shard(2)
-                    .with_transport(ShardTransportKind::Process)
-            )
-            .to_string(),
-            "sharded(shards=4,threads=2,transport=process)"
+            EngineSelection::Sharded(ShardedExecutor::new(4).with_threads_per_shard(2)).to_string(),
+            "sharded(shards=4,threads=2)"
         );
     }
 
@@ -659,22 +513,8 @@ mod tests {
             ),
             EngineSelection::Parallel(ParallelExecutor::auto().with_mode(EngineMode::Async)),
             EngineSelection::Sharded(ShardedExecutor::new(1)),
-            EngineSelection::Sharded(
-                ShardedExecutor::new(4)
-                    .with_threads_per_shard(2)
-                    .with_transport(ShardTransportKind::Channel),
-            ),
-            EngineSelection::Sharded(
-                ShardedExecutor::new(2).with_transport(ShardTransportKind::Process),
-            ),
-            EngineSelection::Sharded(
-                ShardedExecutor::new(4).with_transport(ShardTransportKind::Tcp),
-            ),
-            EngineSelection::Sharded(
-                ShardedExecutor::new(2)
-                    .with_threads_per_shard(2)
-                    .with_transport(ShardTransportKind::Uds),
-            ),
+            EngineSelection::Sharded(ShardedExecutor::new(4).with_threads_per_shard(2)),
+            EngineSelection::Sharded(ShardedExecutor::new(2)),
         ];
         for sel in lineup {
             let descriptor = sel.to_string();
@@ -693,10 +533,12 @@ mod tests {
             "barrier(threads=0)",
             "barrier(threads=two)",
             "turbo(threads=2)",
-            "sharded(shards=0,threads=1,transport=channel)",
-            "sharded(shards=2,threads=1,transport=carrier-pigeon)",
-            "sharded(shards=2,threads=1)",
-            "sharded(threads=1,shards=2,transport=channel)",
+            "sharded(shards=0,threads=1)",
+            "sharded(shards=2,threads=0)",
+            "sharded(shards=2)",
+            "sharded(threads=1,shards=2)",
+            // The former three-field form with a `transport=` field.
+            "sharded(shards=2,threads=1,transport=channel)",
         ] {
             let err = bad.parse::<EngineSelection>().unwrap_err();
             assert_eq!(err.descriptor, bad);

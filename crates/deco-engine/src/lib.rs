@@ -26,10 +26,7 @@
 //!   network into degree-balanced shards, cut edges surface as ghost
 //!   ports fed by a per-round cut exchange, and
 //!   [`shard::ShardedExecutor`] runs the whole thing as a drop-in
-//!   [`Executor`]. The [`shard::framed`] layer speaks the same roles over
-//!   length-prefixed byte frames through in-process channels or
-//!   `deco-shardd` subprocesses — true multi-process execution behind the
-//!   same observational contract.
+//!   [`Executor`].
 //! * [`scenario`] — the scenario matrix: graph families × sizes ×
 //!   ID-assignment flavors enumerated from one base seed, with per-scenario
 //!   named RNG streams (ixa-style), so sweeps and benchmarks share one
@@ -59,7 +56,7 @@ pub mod shard;
 
 pub use async_engine::{AsyncExecutor, AsyncStats};
 pub use clock::RoundClock;
-pub use config::{EngineConfig, EngineEnvError, EngineSelection, ShardTransportKind};
+pub use config::{EngineConfig, EngineEnvError, EngineSelection};
 pub use engine::{EngineMode, ParallelExecutor};
 pub use mailbox::MailboxPlan;
 pub use scenario::{GraphSpec, IdFlavor, Scenario, ScenarioMatrix};

@@ -4,8 +4,8 @@
 //! A [`ShardWorker`] owns everything private to its shard — the programs
 //! and halting state of its node range and the shard's contiguous slice of
 //! the mailbox arena — and borrows only immutable topology (`Network`,
-//! [`ShardPlan`]). It is deliberately transport-agnostic: it never waits,
-//! never talks to other shards, and exposes exactly two steps per round,
+//! [`ShardPlan`]). It never waits, never talks to other shards, and
+//! exposes exactly two steps per round,
 //!
 //! 1. [`ShardWorker::send_phase`] — every active local node writes its
 //!    outgoing messages into the local arena; the worker returns the
@@ -17,12 +17,10 @@
 //!    ghost ports read the ghost-in arena), processes it, and re-evaluates
 //!    its output.
 //!
-//! Both the in-process clock-driven executor and the framed
-//! coordinator/worker protocol drive this same type, which is what keeps
-//! the two transports observationally interchangeable. Phases optionally
-//! fan out over `threads` scoped threads (degree-balanced sub-ranges, the
-//! same machinery as the barrier engine), and the thread count can never
-//! change observable behavior.
+//! The clock-driven [`ShardedExecutor`](super::ShardedExecutor) drives
+//! one worker per shard. Phases optionally fan out over `threads` scoped
+//! threads (degree-balanced sub-ranges, the same machinery as the barrier
+//! engine), and the thread count can never change observable behavior.
 
 use super::plan::ShardPlan;
 use crate::par::{split_by_weight, split_mut_by_ranges};
@@ -58,28 +56,12 @@ where
     <P::Program as NodeProgram>::Msg: Send + Sync,
     <P::Program as NodeProgram>::Output: Send,
 {
-    /// A worker over shard `shard` of `plan`, spawning its programs from
-    /// `protocol`. Round-0 outputs are collected immediately (zero-round
-    /// programs halt here, before any communication, exactly as under the
-    /// serial runner).
-    pub fn spawn(
-        net: &'a Network<'g>,
-        plan: &'a ShardPlan,
-        shard: usize,
-        threads: usize,
-        protocol: &P,
-    ) -> ShardWorker<'a, 'g, P> {
-        let programs = plan
-            .node_range(shard)
-            .map(|v| protocol.spawn(&net.ctx(v.into())))
-            .collect();
-        ShardWorker::with_programs(net, plan, shard, threads, programs)
-    }
-
-    /// A worker over already-spawned `programs` (one per node of the shard
-    /// range, in node order). This is the entry the in-process executor
-    /// uses: it spawns all programs on the caller thread, so the protocol
-    /// value itself never crosses threads.
+    /// A worker over shard `shard` of `plan`, running already-spawned
+    /// `programs` (one per node of the shard range, in node order). The
+    /// executor spawns all programs on the caller thread, so the protocol
+    /// value itself never crosses threads. Round-0 outputs are collected
+    /// immediately (zero-round programs halt here, before any
+    /// communication, exactly as under the serial runner).
     pub fn with_programs(
         net: &'a Network<'g>,
         plan: &'a ShardPlan,
@@ -317,20 +299,6 @@ where
             self.active -= newly_halted;
         }
         self.active
-    }
-
-    /// The shard's outputs in node order, cloned, once every local node
-    /// halted (the framed worker replies to `Finish` with this and keeps
-    /// serving until `Shutdown`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if some node is still active.
-    pub fn snapshot_outputs(&self) -> Vec<<P::Program as NodeProgram>::Output> {
-        self.outputs
-            .iter()
-            .map(|o| o.clone().expect("shard finished with every node halted"))
-            .collect()
     }
 
     /// The shard's outputs in node order, once every local node halted.

@@ -17,22 +17,18 @@
 //! The contract is *observational*, not operational: an executor promises
 //! the serial runner's outputs, round count (the maximum local halting
 //! round), message count, and errors — it does **not** promise to run
-//! rounds in lockstep, and it does not even promise to run in one address
-//! space. `deco-engine`'s barrier executor keeps global phases; its
-//! barrier-free `AsyncExecutor` advances every node on a component-local
-//! round clock, with adjacent nodes up to one round apart; its
-//! `ShardedExecutor` partitions the network into shards whose only
+//! rounds in lockstep. `deco-engine`'s barrier executor keeps global
+//! phases; its barrier-free `AsyncExecutor` advances every node on a
+//! component-local round clock, with adjacent nodes up to one round apart;
+//! its `ShardedExecutor` partitions the network into shards whose only
 //! coupling is the per-round exchange of cut-edge messages, with whole
-//! *shards* up to one round apart (and a framed variant runs each shard
-//! in its own worker process). All are legal implementations precisely
+//! *shards* up to one round apart. All are legal implementations precisely
 //! because a node's round-`r` state depends only on its radius-`r`
-//! neighborhood, so any dependency-respecting schedule — threaded,
-//! clock-driven, or distributed across processes — reproduces the
-//! synchronous execution bit for bit. The differential suites hold every
-//! implementation to this, error cases included: an executor that can
-//! fail for *operational* reasons (a dead worker process, a broken pipe)
-//! must surface those as its own transport-level errors, never by
-//! reinterpreting them as model-level [`RunError`]s.
+//! neighborhood, so any dependency-respecting schedule — threaded or
+//! clock-driven — reproduces the synchronous execution bit for bit. The
+//! differential suites hold every implementation to this, error cases
+//! included: the only [`RunError`]s an executor returns are the
+//! model-level ones the serial runner would return.
 //!
 //! Besides protocol execution, an [`Executor`] also decides how a caller's
 //! *logically parallel branches* run ([`Executor::execute_branches`]): the

@@ -15,7 +15,7 @@
 //!   an [`Engine`] plus cross-cutting run policy (the round budget for
 //!   open-ended protocols).
 //! * [`RuntimeBuilder`] — explicit settings (threads / mode / shards /
-//!   transport / max-rounds) layered over the `DECO_ENGINE_*` environment:
+//!   max-rounds) layered over the `DECO_ENGINE_*` environment:
 //!   builder settings always win, unset ones fall back to the environment
 //!   ([`RuntimeBuilder::from_env`] delegates to the pure parsers in
 //!   [`deco_engine::config`]), and a clean slate selects the serial
@@ -41,8 +41,8 @@
 #![warn(missing_docs)]
 
 use deco_engine::config::{
-    self, parse_mode, parse_shards, parse_threads, parse_trace, parse_transport,
-    DescriptorParseError, EngineEnvError, EngineSelection, ShardTransportKind,
+    self, parse_mode, parse_shards, parse_threads, parse_trace, DescriptorParseError,
+    EngineEnvError, EngineSelection,
 };
 use deco_engine::{EngineMode, ParallelExecutor, ShardedExecutor};
 use deco_local::network::Network;
@@ -127,7 +127,7 @@ impl From<EngineSelection> for Engine {
 /// The stable one-line descriptor: `serial`, or the
 /// [`EngineSelection`] descriptor of the parallel / sharded arm
 /// (`barrier(threads=2)`, `async(threads=auto)`,
-/// `sharded(shards=4,threads=2,transport=process)`).
+/// `sharded(shards=4,threads=2)`).
 impl std::fmt::Display for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -193,7 +193,6 @@ impl Executor for Engine {
 pub struct Runtime {
     engine: Engine,
     max_rounds: u64,
-    shard_timeout_ms: u64,
 }
 
 impl Runtime {
@@ -207,7 +206,6 @@ impl Runtime {
         Runtime {
             engine,
             max_rounds: DEFAULT_MAX_ROUNDS,
-            shard_timeout_ms: config::DEFAULT_SHARD_TIMEOUT_MS,
         }
     }
 
@@ -216,10 +214,9 @@ impl Runtime {
         RuntimeBuilder::default()
     }
 
-    /// The runtime the `DECO_ENGINE_*` / `DECO_SHARD_TRANSPORT` variables
-    /// select — shorthand for `Runtime::builder().from_env()?.build()`. On
-    /// a clean environment (none of the variables set) this is the serial
-    /// default.
+    /// The runtime the `DECO_ENGINE_*` variables select — shorthand for
+    /// `Runtime::builder().from_env()?.build()`. On a clean environment
+    /// (none of the variables set) this is the serial default.
     ///
     /// # Errors
     ///
@@ -245,24 +242,6 @@ impl Runtime {
     /// schedule). Exceeding it is [`RunError::RoundLimitExceeded`].
     pub fn max_rounds(&self) -> u64 {
         self.max_rounds
-    }
-
-    /// The per-frame receive deadline, in milliseconds, that framed shard
-    /// runs made through this runtime enforce on every worker response
-    /// (`0` disables the deadline). Layered like every other knob:
-    /// [`RuntimeBuilder::shard_timeout_ms`] wins, else
-    /// `DECO_SHARD_TIMEOUT_MS`, else 5000. The typed in-process executor
-    /// path never blocks on a pipe, so the budget only matters to framed
-    /// transports.
-    pub fn shard_timeout_ms(&self) -> u64 {
-        self.shard_timeout_ms
-    }
-
-    /// The [`FramedPolicy`](deco_engine::shard::framed::FramedPolicy) this
-    /// runtime hands to framed shard coordinators: default retry budget,
-    /// deadline from [`Runtime::shard_timeout_ms`].
-    pub fn framed_policy(&self) -> deco_engine::shard::framed::FramedPolicy {
-        deco_engine::shard::framed::FramedPolicy::default().with_timeout_ms(self.shard_timeout_ms)
     }
 
     /// The stable one-line engine descriptor (see the [`Engine`]
@@ -340,9 +319,8 @@ impl Executor for Runtime {
 /// left it unset and [`RuntimeBuilder::from_env`] ran), or absent. Engine
 /// selection follows the settings that are present:
 ///
-/// * `shards > 0` → the sharded engine (`threads` = threads per shard,
-///   `transport` = cross-shard transport preference; `mode` is ignored —
-///   the cut exchange is clock-driven by design);
+/// * `shards > 0` → the sharded engine (`threads` = threads per shard;
+///   `mode` is ignored — the cut exchange is clock-driven by design);
 /// * otherwise, any of `threads` / `mode` present → the in-process
 ///   parallel engine (`threads` 0 or unset = hardware auto);
 /// * nothing present → the serial reference executor.
@@ -351,9 +329,7 @@ pub struct RuntimeBuilder {
     threads: Option<usize>,
     mode: Option<EngineMode>,
     shards: Option<usize>,
-    transport: Option<ShardTransportKind>,
     max_rounds: Option<u64>,
-    shard_timeout_ms: Option<u64>,
     trace: Option<deco_trace::TraceMode>,
 }
 
@@ -379,25 +355,10 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Sets the cross-shard transport preference recorded on the sharded
-    /// engine (consumed by framed entry points and descriptors; the
-    /// general executor path always runs the typed in-process substrate).
-    pub fn transport(mut self, transport: ShardTransportKind) -> RuntimeBuilder {
-        self.transport = Some(transport);
-        self
-    }
-
     /// Sets the round budget for open-ended protocols
     /// ([`Runtime::max_rounds`]).
     pub fn max_rounds(mut self, max_rounds: u64) -> RuntimeBuilder {
         self.max_rounds = Some(max_rounds);
-        self
-    }
-
-    /// Sets the per-frame receive deadline for framed shard runs, in
-    /// milliseconds (`0` = no deadline; see [`Runtime::shard_timeout_ms`]).
-    pub fn shard_timeout_ms(mut self, ms: u64) -> RuntimeBuilder {
-        self.shard_timeout_ms = Some(ms);
         self
     }
 
@@ -414,7 +375,7 @@ impl RuntimeBuilder {
     /// Fills every knob the builder has *not* set from its environment
     /// variable, parsing with the pure parsers of [`deco_engine::config`]:
     /// `DECO_ENGINE_THREADS`, `DECO_ENGINE_ASYNC`, `DECO_ENGINE_SHARDS`,
-    /// `DECO_SHARD_TRANSPORT`, `DECO_SHARD_TIMEOUT_MS`, `DECO_TRACE`.
+    /// `DECO_TRACE`.
     /// Explicit builder settings take precedence variable by variable —
     /// `.threads(4).from_env()` honors `DECO_ENGINE_SHARDS` while ignoring
     /// `DECO_ENGINE_THREADS`.
@@ -440,15 +401,6 @@ impl RuntimeBuilder {
         fill(&mut self.threads, config::ENV_THREADS, parse_threads)?;
         fill(&mut self.mode, config::ENV_ASYNC, parse_mode)?;
         fill(&mut self.shards, config::ENV_SHARDS, parse_shards)?;
-        fill(&mut self.transport, config::ENV_TRANSPORT, parse_transport)?;
-        // The timeout parser is tri-state itself (empty = default), so it
-        // does not fit the plain `fill` shape: an empty variable leaves
-        // the knob unset and the build falls back to the default budget.
-        if self.shard_timeout_ms.is_none() {
-            if let Some(raw) = std::env::var_os(config::ENV_SHARD_TIMEOUT) {
-                self.shard_timeout_ms = config::parse_timeout_ms(&raw.to_string_lossy())?;
-            }
-        }
         fill(&mut self.trace, config::ENV_TRACE, parse_trace)?;
         Ok(self)
     }
@@ -460,7 +412,7 @@ impl RuntimeBuilder {
         // the serial default: with no engine knob present at all, the
         // reference executor wins. Everything engine-shaped delegates to
         // deco-engine's own EngineConfig::selection, so there is exactly
-        // one place that turns (threads, mode, shards, transport) into a
+        // one place that turns (threads, mode, shards) into a
         // concrete executor.
         let engine =
             if self.threads.is_none() && self.mode.is_none() && self.shards.unwrap_or(0) == 0 {
@@ -470,7 +422,6 @@ impl RuntimeBuilder {
                     threads: self.threads.unwrap_or(0),
                     mode: self.mode.unwrap_or_default(),
                     shards: self.shards.unwrap_or(0),
-                    transport: self.transport.unwrap_or_default(),
                 }
                 .selection()
                 .into()
@@ -487,9 +438,6 @@ impl RuntimeBuilder {
         Runtime {
             engine,
             max_rounds: self.max_rounds.unwrap_or(DEFAULT_MAX_ROUNDS),
-            shard_timeout_ms: self
-                .shard_timeout_ms
-                .unwrap_or(config::DEFAULT_SHARD_TIMEOUT_MS),
         }
     }
 }
@@ -523,50 +471,14 @@ mod tests {
             Engine::Parallel(ParallelExecutor::auto().with_mode(EngineMode::Async))
         );
         assert_eq!(
-            *Runtime::builder()
-                .shards(4)
-                .threads(2)
-                .transport(ShardTransportKind::Process)
-                .build()
-                .engine(),
-            Engine::Sharded(
-                ShardedExecutor::new(4)
-                    .with_threads_per_shard(2)
-                    .with_transport(ShardTransportKind::Process)
-            )
+            *Runtime::builder().shards(4).threads(2).build().engine(),
+            Engine::Sharded(ShardedExecutor::new(4).with_threads_per_shard(2))
         );
         // shards=0 explicitly means "not sharded"; with nothing else set
         // that is the serial default.
         assert_eq!(
             *Runtime::builder().shards(0).build().engine(),
             Engine::serial()
-        );
-    }
-
-    #[test]
-    fn shard_timeout_knob_defaults_and_overrides() {
-        assert_eq!(
-            Runtime::builder().build().shard_timeout_ms(),
-            config::DEFAULT_SHARD_TIMEOUT_MS
-        );
-        let rt = Runtime::builder().shard_timeout_ms(250).build();
-        assert_eq!(rt.shard_timeout_ms(), 250);
-        assert_eq!(rt.framed_policy().timeout_ms, 250);
-        // 0 = explicit "no deadline", distinct from unset.
-        assert_eq!(
-            Runtime::builder()
-                .shard_timeout_ms(0)
-                .build()
-                .shard_timeout_ms(),
-            0
-        );
-        // The knob never selects an engine.
-        assert_eq!(
-            Runtime::builder()
-                .shard_timeout_ms(250)
-                .build()
-                .descriptor(),
-            "serial"
         );
     }
 
@@ -596,11 +508,7 @@ mod tests {
             Engine::serial(),
             Engine::Parallel(ParallelExecutor::with_threads(2)),
             Engine::Parallel(ParallelExecutor::auto().with_mode(EngineMode::Async)),
-            Engine::Sharded(
-                ShardedExecutor::new(4)
-                    .with_threads_per_shard(2)
-                    .with_transport(ShardTransportKind::Process),
-            ),
+            Engine::Sharded(ShardedExecutor::new(4).with_threads_per_shard(2)),
         ];
         for engine in engines {
             let descriptor = engine.to_string();

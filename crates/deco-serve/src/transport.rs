@@ -1,12 +1,10 @@
 //! Serving transports: TCP, Unix-domain sockets, and an in-process pipe.
 //!
-//! The daemon listens and clients dial in — the same direction as the
-//! framed shard transports in `deco-engine::shard::net`, and for the same
-//! reason: the listener's address is the only thing a client ever needs
-//! to know. All three transports carry the identical newline-delimited
-//! frames; the in-process pipe exists so tests and the `serve-load`
-//! experiment can drive a daemon with no socket (or port) at all, while
-//! still crossing a real byte boundary.
+//! The daemon listens and clients dial in: the listener's address is the
+//! only thing a client ever needs to know. All three transports carry the
+//! identical newline-delimited frames; the in-process pipe exists so tests
+//! and the `serve-load` experiment can drive a daemon with no socket (or
+//! port) at all, while still crossing a real byte boundary.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};

@@ -1,9 +1,9 @@
 //! Shared plumbing for the runnable examples (included via `#[path]`;
 //! not an example target itself).
 
-/// The engine comes from the environment (`DECO_ENGINE_*`,
-/// `DECO_SHARD_TRANSPORT`); a malformed variable is reported to stderr —
-/// naming the variable and the offending value — instead of panicking.
+/// The engine comes from the environment (`DECO_ENGINE_*`); a malformed
+/// variable is reported to stderr — naming the variable and the offending
+/// value — instead of panicking.
 /// The CI `examples-smoke` job asserts this exact behavior (exit code 2,
 /// variable name and value in the message).
 pub fn runtime_or_exit() -> deco::Runtime {

@@ -42,10 +42,9 @@
 //! use deco::graph::generators;
 //! use deco::{EdgeUpdate, Runtime, Session};
 //!
-//! // Honors DECO_ENGINE_THREADS / DECO_ENGINE_ASYNC / DECO_ENGINE_SHARDS /
-//! // DECO_SHARD_TRANSPORT; a clean environment means the serial reference
-//! // engine. Malformed variables are structured errors, never silent
-//! // fallbacks.
+//! // Honors DECO_ENGINE_THREADS / DECO_ENGINE_ASYNC / DECO_ENGINE_SHARDS;
+//! // a clean environment means the serial reference engine. Malformed
+//! // variables are structured errors, never silent fallbacks.
 //! let rt = Runtime::from_env().expect("engine environment parses");
 //!
 //! let g = generators::random_regular(40, 6, 7);
