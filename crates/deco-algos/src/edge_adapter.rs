@@ -2,13 +2,16 @@
 //!
 //! In the LOCAL model, one round of an algorithm on the line graph `L(G)` is
 //! simulated by a constant number of rounds on `G`: two adjacent edges share
-//! a node, and that node relays. The adapters here materialize `L(G)`,
-//! derive unique *edge* identifiers from the endpoints' node identifiers
-//! (every node can compute them locally), and map results back to edges.
+//! a node, and that node relays. The adapters here derive unique *edge*
+//! identifiers from the endpoints' node identifiers (every node can compute
+//! them locally), run the protocol on `L(G)`, and map results back to
+//! edges. `L(G)` is materialized only when the protocol has a round to run:
+//! a run of zero rounds outputs its input, and needs no communication graph.
 
-use crate::linial;
+use crate::{linial, palette_u64_to_u32};
 use deco_graph::coloring::EdgeColoring;
 use deco_graph::{Graph, LineGraph};
+use deco_local::network::assert_valid_ids;
 use deco_local::{Network, RunError};
 use deco_runtime::Runtime;
 
@@ -70,7 +73,6 @@ pub fn linial_edge_coloring(
     node_ids: &[u64],
     rt: &Runtime,
 ) -> Result<LinialEdgeResult, RunError> {
-    let lg = LineGraph::of(g);
     let eids = edge_ids_by_pairing(g, node_ids);
     if g.num_edges() == 0 {
         return Ok(LinialEdgeResult {
@@ -80,9 +82,23 @@ pub fn linial_edge_coloring(
             messages: 0,
         });
     }
-    let net = Network::with_ids(lg.graph(), eids.clone());
     let bound = node_ids.iter().copied().max().unwrap_or(1);
     let m0 = (bound + 1) * (bound + 1);
+    // The maximum degree of L(G) is the maximum edge degree of G. When no
+    // reduction step shrinks the pairing-ID palette, Linial runs zero rounds
+    // and outputs the IDs themselves: skip building L(G).
+    let schedule = linial::schedule(m0, g.max_edge_degree() as u64);
+    if schedule.steps.is_empty() {
+        assert_valid_ids(&eids);
+        return Ok(LinialEdgeResult {
+            coloring: EdgeColoring::from_complete(palette_u64_to_u32(&eids)),
+            palette: schedule.final_palette,
+            rounds: 0,
+            messages: 0,
+        });
+    }
+    let lg = LineGraph::of(g);
+    let net = Network::with_ids(lg.graph(), eids.clone());
     let res = linial::color_from_initial(&net, eids, m0, rt)?;
     Ok(LinialEdgeResult {
         coloring: EdgeColoring::from_complete(res.colors),
@@ -125,6 +141,56 @@ mod tests {
                 res.palette
             );
         }
+    }
+
+    /// The Linial run on a materialized `L(G)` with the pairing IDs — what
+    /// the adapter computes, built the long way.
+    fn on_materialized_line_graph(g: &Graph, ids: &[u64]) -> linial::LinialResult {
+        let lg = LineGraph::of(g);
+        let eids = edge_ids_by_pairing(g, ids);
+        let net = Network::with_ids(lg.graph(), eids.clone());
+        let bound = ids.iter().copied().max().unwrap_or(1);
+        linial::color_from_initial(&net, eids, (bound + 1) * (bound + 1), &Runtime::serial())
+            .unwrap()
+    }
+
+    fn pairing_schedule(g: &Graph, ids: &[u64]) -> linial::LinialSchedule {
+        let bound = ids.iter().copied().max().unwrap_or(1);
+        linial::schedule((bound + 1) * (bound + 1), g.max_edge_degree() as u64)
+    }
+
+    #[test]
+    fn skipping_line_graph_is_invisible() {
+        for (g, zero_rounds) in [
+            (generators::star(40), true),
+            (generators::complete_bipartite(30, 30), true),
+            (generators::random_regular(40, 4, 2), false),
+        ] {
+            let ids: Vec<u64> = (1..=g.num_nodes() as u64).collect();
+            assert_eq!(pairing_schedule(&g, &ids).steps.is_empty(), zero_rounds);
+            let want = on_materialized_line_graph(&g, &ids);
+            for rt in [Runtime::serial(), Runtime::builder().threads(2).build()] {
+                let got = linial_edge_coloring(&g, &ids, &rt).unwrap();
+                assert_eq!(
+                    got.coloring.as_slice(),
+                    EdgeColoring::from_complete(want.colors.clone()).as_slice()
+                );
+                assert_eq!(got.palette, want.palette);
+                assert_eq!(got.rounds, want.rounds);
+                assert_eq!(got.messages, want.messages);
+                assert_eq!(got.rounds == 0, zero_rounds);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "distinct")]
+    fn zero_round_path_rejects_duplicate_ids() {
+        let g = generators::star(40);
+        let mut ids: Vec<u64> = (1..=g.num_nodes() as u64).collect();
+        ids[2] = ids[1];
+        assert!(pairing_schedule(&g, &ids).steps.is_empty());
+        let _ = linial_edge_coloring(&g, &ids, &Runtime::serial());
     }
 
     #[test]

@@ -154,10 +154,13 @@ impl ListInstance {
     /// Returns the first [`InstanceError::ColorOutOfPalette`] found.
     pub fn validate_palette(&self) -> Result<(), InstanceError> {
         for e in self.graph.edges() {
-            for c in self.lists[e.index()].iter() {
-                if c >= self.palette {
-                    return Err(InstanceError::ColorOutOfPalette { edge: e, color: c });
-                }
+            let list = &self.lists[e.index()];
+            if list.last().is_some_and(|c| c >= self.palette) {
+                let color = list
+                    .iter()
+                    .find(|&c| c >= self.palette)
+                    .expect("the largest color is outside the palette");
+                return Err(InstanceError::ColorOutOfPalette { edge: e, color });
             }
         }
         Ok(())

@@ -1,6 +1,9 @@
 //! Color lists and color-space partitions.
 //!
-//! Lists are sorted, deduplicated color vectors over a palette `{0, …, C−1}`.
+//! A [`ColorList`] is a set of colors from a palette `{0, …, C−1}`, stored
+//! as a bitset over the span of its colors with a cached length: cloning a
+//! list copies `C/64` words, removing `k` colors costs `O(k)`, and the
+//! range queries of the partition code work a word at a time.
 //! A [`SubspacePartition`] splits the palette into `q ≤ 2p` contiguous
 //! blocks of size ≤ `C/p` (the partition Lemma 4.3 requires; the paper notes
 //! such a partition always exists). [`level_of`] computes the "level" `ℓ(e)`
@@ -11,102 +14,229 @@ use deco_graph::coloring::Color;
 use deco_local::math::{floor_log2, harmonic};
 use std::fmt;
 
-/// A sorted, duplicate-free list of candidate colors for one edge.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// The candidate colors of one edge: a bitset over the span `[min, max]`
+/// of its colors, plus a cached length.
+///
+/// Equality compares content, not span. The span is fixed when the list is
+/// built, so its memory is `(max − min)/64 + 1` words however many colors
+/// are later removed.
+#[derive(Clone, Default)]
 pub struct ColorList {
-    colors: Vec<Color>,
+    /// The color of bit 0 of `words[0]`.
+    base: Color,
+    /// Bit `i` of `words[w]` stands for color `base + 64·w + i`.
+    words: Vec<u64>,
+    /// Number of set bits.
+    len: usize,
+}
+
+/// Bits `lo..=hi` of a word (`lo ≤ hi < 64`).
+#[inline]
+fn word_mask(lo: u64, hi: u64) -> u64 {
+    (!0u64 << lo) & (!0u64 >> (63 - hi))
 }
 
 impl ColorList {
-    /// Builds a list from arbitrary colors (sorted and deduplicated).
-    pub fn new(mut colors: Vec<Color>) -> ColorList {
-        colors.sort_unstable();
-        colors.dedup();
-        ColorList { colors }
+    /// Builds a list from arbitrary colors (any order, duplicates ignored).
+    pub fn new(colors: Vec<Color>) -> ColorList {
+        let (Some(&min), Some(&max)) = (colors.iter().min(), colors.iter().max()) else {
+            return ColorList::default();
+        };
+        let mut list = ColorList::zeroed(min, max);
+        for c in colors {
+            let (w, bit) = list.slot(c).expect("color inside the span");
+            if list.words[w] & bit == 0 {
+                list.words[w] |= bit;
+                list.len += 1;
+            }
+        }
+        list
     }
 
     /// The contiguous list `{lo, …, hi−1}`.
     pub fn range(lo: Color, hi: Color) -> ColorList {
-        ColorList {
-            colors: (lo..hi).collect(),
+        if lo >= hi {
+            return ColorList::default();
         }
+        let mut list = ColorList::zeroed(lo, hi - 1);
+        list.words.fill(!0);
+        *list.words.last_mut().expect("a nonempty span") &=
+            word_mask(0, u64::from(hi - 1 - lo) % 64);
+        list.len = (hi - lo) as usize;
+        list
+    }
+
+    /// An empty list whose span covers `[min, max]`.
+    fn zeroed(min: Color, max: Color) -> ColorList {
+        ColorList {
+            base: min,
+            words: vec![0; ((max - min) / 64) as usize + 1],
+            len: 0,
+        }
+    }
+
+    /// The word index and bit of `c`, if `c` lies inside the span.
+    #[inline]
+    fn slot(&self, c: Color) -> Option<(usize, u64)> {
+        let off = c.checked_sub(self.base)?;
+        let w = (off / 64) as usize;
+        (w < self.words.len()).then(|| (w, 1u64 << (off % 64)))
+    }
+
+    /// The words of the span that meet `[lo, hi)`, masked to it, and the
+    /// color of bit 0 of the first one; `None` if the span misses `[lo, hi)`.
+    fn window(&self, lo: Color, hi: Color) -> Option<(Color, impl Iterator<Item = u64> + '_)> {
+        let base = u64::from(self.base);
+        let start = u64::from(lo).max(base);
+        let end = u64::from(hi).min(base + 64 * self.words.len() as u64);
+        if start >= end {
+            return None;
+        }
+        let (first, last) = (start - base, end - 1 - base);
+        let (wa, wb) = ((first / 64) as usize, (last / 64) as usize);
+        let words = self.words[wa..=wb].iter().enumerate().map(move |(i, &w)| {
+            let lo_bit = if i == 0 { first % 64 } else { 0 };
+            let hi_bit = if i == wb - wa { last % 64 } else { 63 };
+            w & word_mask(lo_bit, hi_bit)
+        });
+        Some((self.base + 64 * wa as Color, words))
     }
 
     /// Number of colors in the list.
     #[inline]
     pub fn len(&self) -> usize {
-        self.colors.len()
+        self.len
     }
 
     /// Whether the list is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.colors.is_empty()
+        self.len == 0
     }
 
     /// Whether `c` is in the list.
+    #[inline]
     pub fn contains(&self, c: Color) -> bool {
-        self.colors.binary_search(&c).is_ok()
+        self.slot(c)
+            .is_some_and(|(w, bit)| self.words[w] & bit != 0)
     }
 
     /// Iterates over the colors in increasing order.
-    pub fn iter(&self) -> impl Iterator<Item = Color> + '_ {
-        self.colors.iter().copied()
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Color> + '_ {
+        Iter {
+            words: self.words.iter(),
+            next_base: u64::from(self.base),
+            word_base: 0,
+            bits: 0,
+            left: self.len,
+        }
+    }
+
+    /// The colors in increasing order, as a vector.
+    pub fn to_vec(&self) -> Vec<Color> {
+        self.iter().collect()
     }
 
     /// The smallest color, if any.
     pub fn first(&self) -> Option<Color> {
-        self.colors.first().copied()
+        self.iter().next()
+    }
+
+    /// The largest color, if any.
+    pub fn last(&self) -> Option<Color> {
+        let (w, word) = self
+            .words
+            .iter()
+            .enumerate()
+            .rev()
+            .find(|(_, &word)| word != 0)?;
+        Some(self.base + 64 * w as Color + (63 - word.leading_zeros()))
     }
 
     /// Removes `c` if present; returns whether it was present.
     pub fn remove(&mut self, c: Color) -> bool {
-        match self.colors.binary_search(&c) {
-            Ok(i) => {
-                self.colors.remove(i);
+        match self.slot(c) {
+            Some((w, bit)) if self.words[w] & bit != 0 => {
+                self.words[w] &= !bit;
+                self.len -= 1;
                 true
             }
-            Err(_) => false,
+            _ => false,
         }
     }
 
-    /// Removes every color in `forbidden` (need not be sorted).
+    /// Removes every color in `forbidden` (any order; duplicates and
+    /// colors not in the list are ignored).
     pub fn remove_all(&mut self, forbidden: &[Color]) {
-        if forbidden.is_empty() {
-            return;
+        for &c in forbidden {
+            self.remove(c);
         }
-        let mut f = forbidden.to_vec();
-        f.sort_unstable();
-        self.colors.retain(|c| f.binary_search(c).is_err());
     }
 
-    /// Number of colors in `self ∩ [lo, hi)` (O(log n) via binary search —
-    /// the partition blocks are contiguous, so intersections are ranges).
+    /// Number of colors in `self ∩ [lo, hi)`, a popcount per word — the
+    /// partition blocks are contiguous, so intersections are ranges.
     pub fn count_in_range(&self, lo: Color, hi: Color) -> usize {
-        let a = self.colors.partition_point(|&c| c < lo);
-        let b = self.colors.partition_point(|&c| c < hi);
-        b - a
+        self.window(lo, hi)
+            .map_or(0, |(_, words)| words.map(|w| w.count_ones() as usize).sum())
     }
 
     /// The sub-list `self ∩ [lo, hi)`.
     pub fn restrict_to_range(&self, lo: Color, hi: Color) -> ColorList {
-        let a = self.colors.partition_point(|&c| c < lo);
-        let b = self.colors.partition_point(|&c| c < hi);
-        ColorList {
-            colors: self.colors[a..b].to_vec(),
-        }
-    }
-
-    /// The raw sorted slice.
-    pub fn as_slice(&self) -> &[Color] {
-        &self.colors
-    }
-
-    /// Consumes the list, returning the sorted color vector.
-    pub fn into_vec(self) -> Vec<Color> {
-        self.colors
+        self.window(lo, hi)
+            .map_or_else(ColorList::default, |(base, words)| {
+                let words: Vec<u64> = words.collect();
+                ColorList {
+                    base,
+                    len: words.iter().map(|w| w.count_ones() as usize).sum(),
+                    words,
+                }
+            })
     }
 }
+
+/// Iterator over a [`ColorList`]'s colors in increasing order.
+struct Iter<'a> {
+    words: std::slice::Iter<'a, u64>,
+    /// Color of bit 0 of the next word `words` yields.
+    next_base: u64,
+    /// Color of bit 0 of the word `bits` came from.
+    word_base: u64,
+    /// Bits of the current word not yet yielded.
+    bits: u64,
+    /// Colors not yet yielded.
+    left: usize,
+}
+
+impl Iterator for Iter<'_> {
+    type Item = Color;
+
+    #[inline]
+    fn next(&mut self) -> Option<Color> {
+        while self.bits == 0 {
+            self.bits = *self.words.next()?;
+            self.word_base = self.next_base;
+            self.next_base += 64;
+        }
+        let bit = self.bits.trailing_zeros();
+        self.bits &= self.bits - 1;
+        self.left -= 1;
+        Some((self.word_base + u64::from(bit)) as Color)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Iter<'_> {}
+
+impl PartialEq for ColorList {
+    fn eq(&self, other: &ColorList) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for ColorList {}
 
 impl FromIterator<Color> for ColorList {
     fn from_iter<I: IntoIterator<Item = Color>>(iter: I) -> Self {
@@ -114,10 +244,17 @@ impl FromIterator<Color> for ColorList {
     }
 }
 
+impl fmt::Debug for ColorList {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "ColorList")?;
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
 impl fmt::Display for ColorList {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
-        for (i, c) in self.colors.iter().enumerate() {
+        for (i, c) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, ",")?;
             }
@@ -199,12 +336,19 @@ impl SubspacePartition {
         c / self.block
     }
 
-    /// `|list ∩ C_i|` for every block `i`, in one pass.
+    /// `|list ∩ C_i|` for every block `i`.
     pub fn intersection_sizes(&self, list: &ColorList) -> Vec<usize> {
-        let mut sizes = vec![0usize; self.q as usize];
-        for c in list.iter() {
-            sizes[self.subspace_of(c) as usize] += 1;
-        }
+        let sizes: Vec<usize> = (0..self.q)
+            .map(|i| {
+                let (lo, hi) = self.range(i);
+                list.count_in_range(lo, hi)
+            })
+            .collect();
+        debug_assert_eq!(
+            sizes.iter().sum::<usize>(),
+            list.len(),
+            "list colors outside the palette"
+        );
         sizes
     }
 }
@@ -292,7 +436,7 @@ mod tests {
     #[test]
     fn list_basics() {
         let mut l = ColorList::new(vec![5, 1, 3, 3, 1]);
-        assert_eq!(l.as_slice(), &[1, 3, 5]);
+        assert_eq!(l.to_vec(), [1, 3, 5]);
         assert_eq!(l.len(), 3);
         assert!(l.contains(3));
         assert!(!l.contains(2));
@@ -300,16 +444,124 @@ mod tests {
         assert!(!l.remove(3));
         assert_eq!(l.len(), 2);
         l.remove_all(&[5, 9]);
-        assert_eq!(l.as_slice(), &[1]);
+        assert_eq!(l.to_vec(), [1]);
         assert_eq!(l.first(), Some(1));
         assert_eq!(l.to_string(), "{1}");
+    }
+
+    /// Checks `list` against the sorted, duplicate-free reference `model`.
+    fn assert_matches_model(list: &ColorList, model: &[Color], ctx: &str) {
+        assert_eq!(list.to_vec(), model, "{ctx}: iter order");
+        assert_eq!(list.iter().len(), model.len(), "{ctx}: iter len");
+        assert_eq!(list.len(), model.len(), "{ctx}: len");
+        assert_eq!(list.is_empty(), model.is_empty(), "{ctx}: is_empty");
+        assert_eq!(list.first(), model.first().copied(), "{ctx}: first");
+        assert_eq!(list.last(), model.last().copied(), "{ctx}: last");
+        let top = model.last().map_or(0, |&c| c + 2);
+        for c in 0..top.max(130) {
+            assert_eq!(
+                list.contains(c),
+                model.binary_search(&c).is_ok(),
+                "{ctx}: contains({c})"
+            );
+        }
+        // Equality is by content, across spans: a tight span, a span
+        // widened on both sides, and the empty list.
+        assert_eq!(*list, ColorList::new(model.to_vec()), "{ctx}: eq tight");
+        let mut wide = ColorList::new([model, &[0, top + 200]].concat());
+        for c in [0, top + 200] {
+            if model.binary_search(&c).is_err() {
+                wide.remove(c);
+            }
+        }
+        assert_eq!(*list, wide, "{ctx}: eq wide");
+        assert_eq!(
+            *list == ColorList::default(),
+            model.is_empty(),
+            "{ctx}: eq empty"
+        );
+        let bounds = [0, 63, 64, 65, 127, 128, top, u32::MAX];
+        for &lo in &bounds {
+            for &hi in &bounds {
+                let want: Vec<Color> = model
+                    .iter()
+                    .copied()
+                    .filter(|&c| lo <= c && c < hi)
+                    .collect();
+                assert_eq!(
+                    list.count_in_range(lo, hi),
+                    want.len(),
+                    "{ctx}: count [{lo},{hi})"
+                );
+                let sub = list.restrict_to_range(lo, hi);
+                assert_eq!(sub.to_vec(), want, "{ctx}: restrict [{lo},{hi})");
+                assert_eq!(sub.len(), want.len(), "{ctx}: restrict len [{lo},{hi})");
+            }
+        }
+    }
+
+    /// Seeded differential test: random operation sequences applied to a
+    /// `ColorList` and to a sorted-`Vec` reference must agree after every
+    /// step.
+    #[test]
+    fn color_list_matches_sorted_vec_model() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5eed_c0105);
+        for case in 0..200 {
+            // Color domains that stay in one word, cross a few word
+            // boundaries, or sit far from zero.
+            let (offset, width) = match case % 4 {
+                0 => (0u32, 64u32),
+                1 => (0, 200),
+                2 => (60, 70),
+                _ => (1_000, 300),
+            };
+            let draw = |rng: &mut StdRng| offset + rng.gen_range(0..width);
+            let (mut list, mut model) = if rng.gen_range(0..3u32) == 0 {
+                let lo = draw(&mut rng);
+                let hi = lo + rng.gen_range(0..width);
+                (ColorList::range(lo, hi), (lo..hi).collect::<Vec<_>>())
+            } else {
+                let raw: Vec<Color> = (0..rng.gen_range(0..40usize))
+                    .map(|_| draw(&mut rng))
+                    .collect();
+                let mut model = raw.clone();
+                model.sort_unstable();
+                model.dedup();
+                (ColorList::new(raw), model)
+            };
+            assert_matches_model(&list, &model, &format!("case {case}: build"));
+            for step in 0..12 {
+                if rng.gen_range(0..2u32) == 0 {
+                    let c = draw(&mut rng);
+                    let had = model.binary_search(&c);
+                    assert_eq!(list.remove(c), had.is_ok(), "case {case}: remove({c})");
+                    if let Ok(i) = had {
+                        model.remove(i);
+                    }
+                } else {
+                    // Duplicates and absent colors included on purpose.
+                    let mut forbidden: Vec<Color> = (0..rng.gen_range(0..8usize))
+                        .map(|_| draw(&mut rng))
+                        .collect();
+                    if let Some(&c) = forbidden.first() {
+                        forbidden.push(c);
+                    }
+                    forbidden.push(offset + width + 500);
+                    list.remove_all(&forbidden);
+                    model.retain(|c| !forbidden.contains(c));
+                }
+                assert_matches_model(&list, &model, &format!("case {case} step {step}"));
+            }
+        }
     }
 
     #[test]
     fn range_queries() {
         let l = ColorList::range(0, 10);
         assert_eq!(l.count_in_range(3, 7), 4);
-        assert_eq!(l.restrict_to_range(8, 20).as_slice(), &[8, 9]);
+        assert_eq!(l.restrict_to_range(8, 20).to_vec(), [8, 9]);
         assert_eq!(l.count_in_range(10, 20), 0);
     }
 

@@ -58,7 +58,7 @@
 //! [`SolveStats::slack_fallbacks`].
 
 use crate::instance::ListInstance;
-use crate::lists::{ColorList, SubspacePartition};
+use crate::lists::SubspacePartition;
 use crate::slack;
 use crate::space;
 use deco_algos::{class_elimination, edge_adapter, linial};
@@ -616,7 +616,13 @@ impl Solver {
         let lin = linial::color_from_initial(&net, initial, u64::from(x_palette).max(2), &self.rt)
             .expect("fixed schedule terminates");
         let palette = u32::try_from(lin.palette).expect("constant-degree palettes are small");
-        let lists: Vec<Vec<Color>> = inst.lists().iter().map(|l| l.as_slice().to_vec()).collect();
+        // Class elimination gives each edge the smallest color no finalized
+        // neighbor holds. At most deg_H(e) colors are held, so that color is
+        // among the first deg_H(e)+1 of the list: the rest is never read.
+        let lists: Vec<Vec<Color>> = g
+            .edges()
+            .map(|e| inst.list(e).iter().take(g.edge_degree(e) + 1).collect())
+            .collect();
         let (colors, elim_rounds) =
             class_elimination::list_color_by_classes(lg.graph(), &lists, &lin.colors, palette);
         let cost = CostNode::seq(
@@ -819,12 +825,6 @@ pub fn solve_pipeline(
         cost: solution.cost,
         metrics,
     })
-}
-
-/// Builds the (deg+1)-list instance view of an explicit list set.
-pub fn instance_from_lists(g: &Graph, lists: Vec<Vec<Color>>, palette: u32) -> ListInstance {
-    let lists = lists.into_iter().map(ColorList::new).collect();
-    ListInstance::new_unchecked(g.clone(), lists, palette)
 }
 
 #[cfg(test)]

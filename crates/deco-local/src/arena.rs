@@ -87,7 +87,7 @@ impl<M: Clone + Default> PortArena<M> {
 
     /// Whether slot `k` is present.
     #[inline]
-    pub fn is_present(&self, k: usize) -> bool {
+    fn is_present(&self, k: usize) -> bool {
         let word = self.present[k / 64].load(Ordering::Relaxed);
         word & (1u64 << (k % 64)) != 0
     }
@@ -138,13 +138,6 @@ impl<M: Clone + Default> PortArena<M> {
         }
     }
 
-    /// Marks every slot vacant.
-    pub fn clear_all(&mut self) {
-        for w in &mut self.present {
-            *w.get_mut() = 0;
-        }
-    }
-
     /// Heap bytes held by the arena: dense payload slots plus the presence
     /// bitmap. This is the number the mailbox-diet reports quote per engine
     /// (`size_of::<M>()` per slot + one bit per slot, against the
@@ -160,26 +153,6 @@ impl<M: Clone + Default> PortArena<M> {
             .iter()
             .map(|w| u64::from(w.load(Ordering::Relaxed).count_ones()))
             .sum()
-    }
-
-    /// Iterates `(slot, payload)` over present slots in index order,
-    /// skipping vacant words wholesale.
-    pub fn iter_present(&self) -> impl Iterator<Item = (usize, &M)> + '_ {
-        self.present
-            .iter()
-            .enumerate()
-            .flat_map(move |(wi, word)| {
-                let mut bits = word.load(Ordering::Relaxed);
-                std::iter::from_fn(move || {
-                    if bits == 0 {
-                        return None;
-                    }
-                    let bit = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    Some(wi * 64 + bit)
-                })
-            })
-            .map(move |k| (k, &self.slots[k]))
     }
 
     /// Splits the arena into one [`ArenaWriter`] per range for a parallel
@@ -299,7 +272,7 @@ mod tests {
         a.clear(2);
         assert_eq!(a.get(2), None);
         assert_eq!(a.clone_out(2), None);
-        assert_eq!(a.iter_present().count(), 0);
+        assert_eq!(a.count_present(), 0);
     }
 
     #[test]
@@ -316,19 +289,6 @@ mod tests {
             let expect = !(60..70).contains(&k) && !(128..192).contains(&k);
             assert_eq!(a.is_present(k), expect, "slot {k}");
         }
-    }
-
-    #[test]
-    fn iter_present_is_in_index_order() {
-        let mut a: PortArena<u64> = PortArena::new(300);
-        for k in [3usize, 64, 65, 190, 299] {
-            a.set(k, k as u64 * 10);
-        }
-        let got: Vec<(usize, u64)> = a.iter_present().map(|(k, m)| (k, *m)).collect();
-        assert_eq!(
-            got,
-            vec![(3, 30), (64, 640), (65, 650), (190, 1900), (299, 2990)]
-        );
     }
 
     #[test]
@@ -373,6 +333,5 @@ mod tests {
         let a: PortArena<u64> = PortArena::new(0);
         assert!(a.is_empty());
         assert_eq!(a.count_present(), 0);
-        assert_eq!(a.iter_present().count(), 0);
     }
 }

@@ -25,6 +25,26 @@ pub enum IdAssignment {
     SparseRandom(u64),
 }
 
+/// Checks that `ids` could identify the nodes of a network: every ID is at
+/// least 1 and no two are equal. The checks of [`Network::with_ids`], for
+/// callers that use an ID set without building a network over it.
+///
+/// # Panics
+///
+/// Panics if `ids` contains zero or has duplicates.
+pub fn assert_valid_ids(ids: &[u64]) {
+    let mut sorted = ids.to_vec();
+    sorted.sort_unstable();
+    assert!(
+        sorted.first().copied().unwrap_or(1) >= 1,
+        "IDs must be >= 1"
+    );
+    assert!(
+        sorted.windows(2).all(|w| w[0] != w[1]),
+        "IDs must be distinct"
+    );
+}
+
 /// A LOCAL-model network: graph + ID assignment.
 #[derive(Debug, Clone)]
 pub struct Network<'g> {
@@ -77,16 +97,7 @@ impl<'g> Network<'g> {
     /// duplicates.
     pub fn with_ids(graph: &'g Graph, ids: Vec<u64>) -> Network<'g> {
         assert_eq!(ids.len(), graph.num_nodes(), "one ID per node required");
-        let mut sorted = ids.clone();
-        sorted.sort_unstable();
-        assert!(
-            sorted.first().copied().unwrap_or(1) >= 1,
-            "IDs must be >= 1"
-        );
-        assert!(
-            sorted.windows(2).all(|w| w[0] != w[1]),
-            "IDs must be distinct"
-        );
+        assert_valid_ids(&ids);
         Network::with_cached(graph, ids)
     }
 

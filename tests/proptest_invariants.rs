@@ -156,7 +156,7 @@ fn greedy_list_coloring_never_fails_on_deg_plus_one() {
         }
         let seed = rng.gen_range(0..u64::MAX);
         let inst = instance::random_deg_plus_one(&g, g.max_edge_degree() as u32 + 2, seed);
-        let lists: Vec<Vec<u32>> = inst.lists().iter().map(|l| l.as_slice().to_vec()).collect();
+        let lists: Vec<Vec<u32>> = inst.lists().iter().map(|l| l.to_vec()).collect();
         let res = deco::algos::greedy::greedy_list_edge_coloring(
             &g,
             &lists,
